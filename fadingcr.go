@@ -108,24 +108,25 @@ type (
 // power condition P > c·β·N·d^α.
 const DefaultSingleHopMargin = sinr.DefaultSingleHopMargin
 
-// DefaultGainCacheCap is the default memory cap for one channel's
-// precomputed gain matrix; larger deployments fall back to on-the-fly
-// attenuation computation.
+// DefaultGainCacheCap is the default memory cap for one channel's cached
+// gain matrix; larger deployments fall back to on-the-fly attenuation
+// computation.
 const DefaultGainCacheCap = sinr.DefaultGainCacheCap
 
 // MaxDeliverParallelism bounds WithDeliverParallelism worker counts.
 const MaxDeliverParallelism = sinr.MaxDeliverParallelism
 
-// SINR delivery engine controls. Every SINR channel precomputes the
-// pairwise attenuation matrix by default (up to DefaultGainCacheCap) and
-// delivers rounds allocation-free from the cached rows; the gain-cache
+// SINR delivery engine controls. Every SINR channel caches the pairwise
+// attenuation matrix by default (up to DefaultGainCacheCap), filling a
+// transmitter's row the first time it transmits, and delivers rounds
+// allocation-free from the cached rows; the gain-cache
 // options tune or disable that engine without ever changing delivery
 // results. WithFarFieldEps and WithDeliverParallelism select the scaling
 // engines of DESIGN.md §8: ε pruning changes receptions within a
 // documented one-sided bound, and the parallel option is byte-identical
 // at any worker count (the Rayleigh channel switches its fade stream).
 var (
-	// WithGainCache enables (default) or disables the precomputed matrix.
+	// WithGainCache enables (default) or disables the cached matrix.
 	WithGainCache = sinr.WithGainCache
 	// WithGainCacheCap bounds the matrix size in bytes (≤ 0 = unlimited).
 	WithGainCacheCap = sinr.WithGainCacheCap

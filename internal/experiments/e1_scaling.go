@@ -6,6 +6,7 @@ import (
 
 	"fadingcr/internal/core"
 	"fadingcr/internal/geom"
+	"fadingcr/internal/runner"
 	"fadingcr/internal/sim"
 	"fadingcr/internal/stats"
 	"fadingcr/internal/table"
@@ -109,14 +110,9 @@ func e2() Experiment {
 			var xs, medians []float64
 			for _, m := range classes {
 				n := 2 * m * pairsPerClass
-				var logR float64
 				rounds, unsolved, err := trialRounds(cfg, trials,
 					func(seed uint64) (*geom.Deployment, error) {
-						d, err := geom.ExponentialChain(seed, m, pairsPerClass)
-						if err == nil {
-							logR = math.Log2(d.R)
-						}
-						return d, err
+						return geom.ExponentialChain(seed, m, pairsPerClass)
 					},
 					func(d *geom.Deployment) (sim.Channel, error) { return channelFor(cfg, DefaultParams(), d) },
 					core.FixedProbability{},
@@ -129,6 +125,15 @@ func e2() Experiment {
 				if err != nil {
 					return nil, err
 				}
+				// log2(R) from the last trial's deployment, rebuilt here:
+				// the column must not depend on which trials this process
+				// ran (sharded runs execute only some of them).
+				dseed, _ := runner.TrialSeeds(cfg.Seed, trials-1)
+				last, err := geom.ExponentialChain(dseed, m, pairsPerClass)
+				if err != nil {
+					return nil, fmt.Errorf("E2 m=%d: %w", m, err)
+				}
+				logR := math.Log2(last.R)
 				xs = append(xs, float64(m))
 				medians = append(medians, s.Median)
 				results.AddRow(table.Int(m), table.Int(n), table.Float(logR, 1), table.Int(trials),

@@ -48,14 +48,29 @@ func (p Point) String() string { return fmt.Sprintf("(%.4g, %.4g)", p.X, p.Y) }
 
 // MinPairwiseDist returns the smallest distance between any two distinct
 // points, and the indices achieving it. It returns +Inf and (-1, -1) when
-// fewer than two points are given.
+// fewer than two points are given. Ties go to the lexicographically first
+// index pair (i < j), as an all-pairs scan in index order would report.
+//
+// It sweeps the points in x order and stops scanning ahead of a point once
+// the x gap alone squares past the best squared distance so far. The gap is
+// the very dx that Dist2 squares, so every pruned pair has a Dist2 strictly
+// above the minimum and the result is exact, not approximate: the same
+// Dist2 values are compared as in the all-pairs scan. Points with a
+// non-finite coordinate are left out of the sweep: their Dist2 is +Inf or
+// NaN, which never wins the scan's strict comparison either.
 func MinPairwiseDist(pts []Point) (d float64, i, j int) {
 	d, i, j = math.Inf(1), -1, -1
+	order := sortedPoints(pts)
 	best := math.Inf(1)
-	for a := range pts {
-		for b := a + 1; b < len(pts); b++ {
-			if d2 := pts[a].Dist2(pts[b]); d2 < best {
-				best, i, j = d2, a, b
+	for s, a := range order {
+		for _, b := range order[s+1:] {
+			if dx := b.X - a.X; dx*dx > best {
+				break
+			}
+			d2 := a.Dist2(b.Point)
+			lo, hi := min(a.i, b.i), max(a.i, b.i)
+			if d2 < best || d2 == best && (lo < i || lo == i && hi < j) {
+				best, i, j = d2, lo, hi
 			}
 		}
 	}
@@ -67,20 +82,17 @@ func MinPairwiseDist(pts []Point) (d float64, i, j int) {
 
 // MaxPairwiseDist returns the largest distance between any two distinct
 // points, and the indices achieving it. It returns 0 and (-1, -1) when fewer
-// than two points are given.
+// than two points are given. Ties go to the lexicographically first index
+// pair (i < j), as an all-pairs scan in index order would report.
+//
+// The diameter of a point set is attained between convex-hull vertices, so
+// only hull pairs are compared all-pairs; see hullDiameter for how the
+// floating-point result is kept identical to the all-pairs scan.
 func MaxPairwiseDist(pts []Point) (d float64, i, j int) {
-	i, j = -1, -1
-	best := -1.0
-	for a := range pts {
-		for b := a + 1; b < len(pts); b++ {
-			if d2 := pts[a].Dist2(pts[b]); d2 > best {
-				best, i, j = d2, a, b
-			}
-		}
-	}
-	if i < 0 {
+	if len(pts) < 2 {
 		return 0, -1, -1
 	}
+	best, i, j := hullDiameter(pts)
 	return math.Sqrt(best), i, j
 }
 

@@ -13,8 +13,10 @@
 package schedule
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"fadingcr/internal/geom"
@@ -92,47 +94,35 @@ func Feasible(params sinr.Params, pts []geom.Point, links []Link) (bool, error) 
 // are considered in ascending link-length order (short links are the easiest
 // to protect, the standard heuristic of the capacity literature), and each
 // is added if the set stays feasible. The result is maximal: no rejected
-// link can be added afterwards. Complexity O(k²·k) for k requests.
+// link can be added afterwards. It returns exactly the set a loop calling
+// Feasible on every candidate would, but reads each signal from a table
+// built once per request set (see requestTable). Complexity O(k²) signals
+// plus O(k·c²) table reads for k requests and c chosen links.
 func Greedy(params sinr.Params, pts []geom.Point, requests []Link) ([]Link, error) {
-	if err := params.Validate(); err != nil {
+	t, err := newRequestTable(params, pts, requests)
+	if err != nil {
 		return nil, err
 	}
-	if len(pts) == 0 {
-		return nil, errors.New("schedule: empty deployment")
-	}
-	ordered := append([]Link(nil), requests...)
-	sort.SliceStable(ordered, func(i, j int) bool {
-		di := pts[ordered[i].Sender].Dist2(pts[ordered[i].Receiver])
-		dj := pts[ordered[j].Sender].Dist2(pts[ordered[j].Receiver])
-		return di < dj
-	})
-	var chosen []Link
-	for _, l := range ordered {
-		candidate := append(chosen, l)
-		ok, err := Feasible(params, pts, candidate)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			chosen = candidate
-		}
-	}
-	return chosen, nil
+	return t.links(t.greedy(t.order)), nil
 }
 
 // ScheduleAll partitions the requests into consecutive feasible rounds by
 // repeatedly applying Greedy — the one-shot capacity iterated until every
-// link has been served. It returns the per-round link sets. Requests that
-// can never be feasible alone (e.g. violating the SINR threshold even with
-// no interference) surface as an error rather than an infinite loop.
+// link has been served. It returns the per-round link sets; the first round
+// is Greedy's set. All rounds share one signal table. Requests that can
+// never be feasible alone (e.g. violating the SINR threshold even with no
+// interference) surface as an error rather than an infinite loop.
 func ScheduleAll(params sinr.Params, pts []geom.Point, requests []Link) ([][]Link, error) {
-	remaining := append([]Link(nil), requests...)
+	t, err := newRequestTable(params, pts, requests)
+	if err != nil {
+		return nil, err
+	}
+	// Filtering the greedy order keeps it the greedy order of what remains:
+	// a stable sort of a subsequence is the subsequence of the stable sort.
+	remaining := t.order
 	var rounds [][]Link
 	for len(remaining) > 0 {
-		batch, err := Greedy(params, pts, remaining)
-		if err != nil {
-			return nil, err
-		}
+		batch := t.links(t.greedy(remaining))
 		if len(batch) == 0 {
 			return nil, fmt.Errorf("schedule: %d requests cannot be scheduled (infeasible even in isolation)", len(remaining))
 		}
@@ -142,12 +132,122 @@ func ScheduleAll(params sinr.Params, pts []geom.Point, requests []Link) ([][]Lin
 			served[l] = true
 		}
 		next := remaining[:0]
-		for _, l := range remaining {
-			if !served[l] {
-				next = append(next, l)
+		for _, r := range remaining {
+			if !served[requests[r]] {
+				next = append(next, r)
 			}
 		}
 		remaining = next
 	}
 	return rounds, nil
+}
+
+// requestTable is Feasible's arithmetic for one request set, computed once:
+// sig[r*k+s] = params.Signal(d(sender of s, receiver of r)) for request
+// indices r and s, the very expression Feasible evaluates (Dist, then Pow),
+// so every sum built from it has Feasible's bits.
+type requestTable struct {
+	params   sinr.Params
+	nodes    int // deployment size
+	requests []Link
+	order    []int // request indices by ascending link length, stable
+	sig      []float64
+}
+
+// newRequestTable validates the request set and tabulates its signals.
+func newRequestTable(params sinr.Params, pts []geom.Point, requests []Link) (*requestTable, error) {
+	if err := params.Validate(); err != nil {
+		return nil, err
+	}
+	if len(pts) == 0 {
+		return nil, errors.New("schedule: empty deployment")
+	}
+	for _, l := range requests {
+		if l.Sender < 0 || l.Sender >= len(pts) || l.Receiver < 0 || l.Receiver >= len(pts) {
+			return nil, fmt.Errorf("schedule: link %+v outside deployment of %d nodes", l, len(pts))
+		}
+	}
+	for _, l := range requests {
+		if l.Sender == l.Receiver {
+			return nil, fmt.Errorf("schedule: link %+v is a self-loop", l)
+		}
+	}
+	k := len(requests)
+	t := &requestTable{params: params, nodes: len(pts), requests: requests, order: make([]int, k), sig: make([]float64, k*k)}
+	length := make([]float64, k)
+	for r, lr := range requests {
+		row := t.sig[r*k : (r+1)*k]
+		for s, ls := range requests {
+			row[s] = params.Signal(pts[ls.Sender].Dist(pts[lr.Receiver]))
+		}
+		t.order[r] = r
+		length[r] = pts[lr.Sender].Dist2(pts[lr.Receiver])
+	}
+	sort.SliceStable(t.order, func(a, b int) bool { return length[t.order[a]] < length[t.order[b]] })
+	return t, nil
+}
+
+// greedy returns the request indices Greedy accepts from candidates, taken
+// in the given order.
+func (t *requestTable) greedy(candidates []int) []int {
+	sending := make([]bool, t.nodes)
+	receiving := make([]bool, t.nodes)
+	var chosen []int
+	var bySender []int // chosen plus the candidate, ascending sender node
+	for _, c := range candidates {
+		l := t.requests[c]
+		// A sender serves one link per round, and no node both sends and
+		// receives.
+		if sending[l.Sender] || sending[l.Receiver] || receiving[l.Sender] {
+			continue
+		}
+		at, _ := slices.BinarySearchFunc(bySender, l.Sender, func(r, sender int) int {
+			return cmp.Compare(t.requests[r].Sender, sender)
+		})
+		bySender = slices.Insert(bySender, at, c)
+		if !t.feasible(bySender, c) {
+			bySender = slices.Delete(bySender, at, at+1)
+			continue
+		}
+		chosen = append(chosen, c)
+		sending[l.Sender], receiving[l.Receiver] = true, true
+	}
+	return chosen
+}
+
+// feasible reports whether every link of the set decodes, checking the
+// newly added link first since it is the likeliest to fail.
+func (t *requestTable) feasible(bySender []int, added int) bool {
+	if !t.decodes(bySender, added) {
+		return false
+	}
+	for _, r := range bySender {
+		if r != added && !t.decodes(bySender, r) {
+			return false
+		}
+	}
+	return true
+}
+
+// decodes reports whether link r clears β when the set transmits: its
+// interference is summed in ascending sender order, as in Feasible.
+func (t *requestTable) decodes(bySender []int, r int) bool {
+	k := len(t.requests)
+	row := t.sig[r*k : (r+1)*k]
+	interference := 0.0
+	for _, s := range bySender {
+		if s != r {
+			interference += row[s]
+		}
+	}
+	return !(t.params.SINR(row[r], interference) < t.params.Beta)
+}
+
+// links maps request indices back to their links.
+func (t *requestTable) links(idx []int) []Link {
+	var out []Link
+	for _, r := range idx {
+		out = append(out, t.requests[r])
+	}
+	return out
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"time"
 
 	"fadingcr/internal/obs"
 )
@@ -24,6 +25,13 @@ type DaemonConfig struct {
 	// EnablePprof mounts /debug/pprof/.
 	EnablePprof bool
 }
+
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers. Without it a client that opens a connection and trickles (or
+// never sends) its headers holds the connection, and its goroutine,
+// indefinitely. Request bodies and streamed responses are not bounded by
+// it, so long jobs and NDJSON streams are unaffected.
+const readHeaderTimeout = 10 * time.Second
 
 // Daemon is a running service: executor, worker pool, and HTTP listener.
 type Daemon struct {
@@ -57,7 +65,7 @@ func StartDaemon(cfg DaemonConfig) (*Daemon, error) {
 	}
 	d := &Daemon{
 		exec: exec,
-		srv:  &http.Server{Handler: server.Handler()},
+		srv:  &http.Server{Handler: server.Handler(), ReadHeaderTimeout: readHeaderTimeout},
 		ln:   ln,
 		errc: make(chan error, 1),
 	}

@@ -418,3 +418,17 @@ func TestDaemonStartServeShutdown(t *testing.T) {
 		t.Errorf("request log missing http events: %q", log.String())
 	}
 }
+
+// TestDaemonBoundsHeaderReads: the daemon's HTTP server drops clients that
+// do not finish their request headers in time, so idle or trickling
+// connections cannot pile up.
+func TestDaemonBoundsHeaderReads(t *testing.T) {
+	d, err := StartDaemon(DaemonConfig{Addr: "127.0.0.1:0", Executor: Options{Workers: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Shutdown(context.Background())
+	if got := d.srv.ReadHeaderTimeout; got <= 0 || got != readHeaderTimeout {
+		t.Errorf("ReadHeaderTimeout = %v, want %v", got, readHeaderTimeout)
+	}
+}

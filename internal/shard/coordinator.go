@@ -27,8 +27,10 @@ type Executor interface {
 // Coordinator fans the shards of one request out over a set of executors
 // and merges the results. Fault handling: per-attempt timeout, retry with
 // exponential backoff, straggler re-dispatch (an executor that runs out of
-// unstarted shards duplicates the lowest-indexed in-flight one — first
-// valid result wins, so one dead worker cannot stall the run), optional
+// unstarted shards duplicates the lowest-indexed in-flight one once that
+// shard has run well past the longest shard finished so far — first valid
+// result wins, so one dead worker cannot stall the run, and without a slow
+// executor every shard runs exactly once), optional
 // per-shard checkpoints for kill-and-resume, and partial-failure
 // surfacing: a run with any unrecoverable shard reports exactly which
 // shards failed and why.
@@ -67,6 +69,10 @@ type Coordinator struct {
 const (
 	defaultRetries = 2
 	defaultBackoff = 200 * time.Millisecond
+	// A shard in flight becomes a straggler once it has run stragglerFactor
+	// times the longest finished shard, and at least stragglerFloor.
+	stragglerFactor = 4
+	stragglerFloor  = 200 * time.Millisecond
 )
 
 // coordState is the mutex-guarded scheduler state shared by the executor
@@ -81,16 +87,26 @@ type coordState struct {
 	// gave up on it.
 	gaveUp  [][]bool
 	lastErr []error
+	// started is when each in-flight shard's first running dispatch began,
+	// longest the longest dispatch that finished a shard; together they
+	// decide when an in-flight shard is a straggler. changed is closed (and
+	// replaced) whenever a dispatch ends, waking executors that wait on a
+	// shard in flight elsewhere.
+	started []time.Time
+	longest time.Duration
+	changed chan struct{}
 	log     *obs.Logger
 	run     *obs.Span
 }
 
 // next picks the executor's next shard under the lock: the lowest-indexed
 // unfinished shard nobody is running, else (straggler re-dispatch) the
-// lowest-indexed unfinished shard someone is running — the second return
-// reports which case fired. The third return is false when the executor
-// has nothing left to do.
-func (s *coordState) next(executor int) (int, bool, bool) {
+// lowest-indexed unfinished shard someone is running, once it has run past
+// the straggler threshold — the second return reports which case fired.
+// Before that, wait is how long the executor should wait for a dispatch to
+// end (on s.changed) before asking again. The last return is false when the
+// executor has nothing left to do.
+func (s *coordState) next(executor int, now time.Time) (index int, straggler bool, wait time.Duration, ok bool) {
 	pick := -1
 	for i := range s.done {
 		if s.done[i] || s.gaveUp[i][executor] {
@@ -105,11 +121,30 @@ func (s *coordState) next(executor int) (int, bool, bool) {
 		}
 	}
 	if pick < 0 {
-		return 0, false, false
+		return 0, false, 0, false
 	}
-	straggler := s.inflight[pick] > 0
+	straggler = s.inflight[pick] > 0
+	if straggler {
+		threshold := max(stragglerFloor, stragglerFactor*s.longest)
+		if ran := now.Sub(s.started[pick]); ran < threshold {
+			return pick, true, threshold - ran, true
+		}
+	} else {
+		s.started[pick] = now
+	}
 	s.inflight[pick]++
-	return pick, straggler, true
+	return pick, straggler, 0, true
+}
+
+// ended records that a dispatch of shard index that began at start has
+// ended, and wakes waiting executors.
+func (s *coordState) ended(index int, start, now time.Time, finished bool) {
+	s.inflight[index]--
+	if finished {
+		s.longest = max(s.longest, now.Sub(start))
+	}
+	close(s.changed)
+	s.changed = make(chan struct{})
 }
 
 // Run executes the request across the coordinator's executors and returns
@@ -130,6 +165,8 @@ func (c *Coordinator) Run(ctx context.Context, req Request) (*Merged, error) {
 		inflight: make([]int, req.Shards),
 		gaveUp:   make([][]bool, req.Shards),
 		lastErr:  make([]error, req.Shards),
+		started:  make([]time.Time, req.Shards),
+		changed:  make(chan struct{}),
 	}
 	if c.Log != nil {
 		st.log = obs.NewLogger(c.Log, "shard")
@@ -229,17 +266,27 @@ func (c *Coordinator) executorLoop(ctx context.Context, req Request, specHash st
 	ex := c.Executors[e]
 	for ctx.Err() == nil {
 		st.mu.Lock()
-		index, straggler, ok := st.next(e)
+		start := time.Now() //crlint:allow nowallclock straggler detection times dispatches; it decides only which executor computes a shard, never its bytes
+		index, straggler, wait, ok := st.next(e, start)
+		changed := st.changed
 		st.mu.Unlock()
 		if !ok {
 			return
+		}
+		if wait > 0 {
+			// The only shard left is in flight elsewhere: give it time to
+			// finish before duplicating it.
+			if err := waitCtx(ctx, changed, wait); err != nil {
+				return
+			}
+			continue
 		}
 		sp := st.run.Child("dispatch",
 			obs.F("shard", index), obs.F("executor", ex.Name()), obs.F("straggler", straggler))
 		raw, err := c.attemptShard(ctx, req, specHash, st, sp, ex, index, retries, backoff)
 		sp.End(obs.F("ok", err == nil))
 		st.mu.Lock()
-		st.inflight[index]--
+		st.ended(index, start, time.Now(), err == nil) //crlint:allow nowallclock dispatch durations feed straggler detection only
 		if err != nil {
 			st.gaveUp[index][e] = true
 			st.lastErr[index] = fmt.Errorf("%s: %w", ex.Name(), err)
@@ -324,11 +371,19 @@ func (c *Coordinator) attemptShard(ctx context.Context, req Request, specHash st
 
 // sleepCtx waits d or until the context ends.
 func sleepCtx(ctx context.Context, d time.Duration) error {
-	timer := time.NewTimer(d) //crlint:allow nowallclock retry backoff is wall-clock by nature and never feeds results
+	return waitCtx(ctx, nil, d)
+}
+
+// waitCtx waits d, until wake is closed, or until the context ends; only
+// the last is an error.
+func waitCtx(ctx context.Context, wake <-chan struct{}, d time.Duration) error {
+	timer := time.NewTimer(d) //crlint:allow nowallclock retry backoff and straggler waits are wall-clock by nature and never feed results
 	defer timer.Stop()
 	select {
 	case <-ctx.Done():
 		return ctx.Err()
+	case <-wake:
+		return nil
 	case <-timer.C:
 		return nil
 	}

@@ -15,16 +15,21 @@ import (
 //
 // A channel's node positions are immutable for its lifetime, so the geometric
 // part of every SINR term — the attenuation d(u,v)^{-α} — is a constant of
-// the deployment. New precomputes the full pairwise attenuation matrix as a
-// flat row-major []float64 (row u holds the gains from transmitter u to every
-// listener), and Deliver then runs a transmitter-major two-pass accumulation
+// the deployment. New reserves the full pairwise attenuation matrix as a flat
+// row-major []float64 (row u holds the gains from transmitter u to every
+// listener) but fills nothing: the exact engine fills row u the first time u
+// transmits, and Deliver then runs a transmitter-major two-pass accumulation
 // over the cached rows instead of recomputing a math.Pow/sqrt per
-// (transmitter, listener) pair per round. The matrix costs 8·n² bytes; above
-// the configured cap the channel transparently falls back to the on-the-fly
-// engine. Both engines perform the per-listener floating-point operations in
-// the same order (signals summed in ascending transmitter index, first
-// strict maximum wins), so every reception decision — and every experiment
-// table derived from one — is bit-identical in every mode.
+// (transmitter, listener) pair per round. Protocols in this repository finish
+// in O(log n + log R) rounds, so most channels never read most rows; filling
+// on first transmission means a channel pays only for the rows it uses. The
+// matrix costs 8·n² bytes; above the configured cap the channel
+// transparently falls back to the on-the-fly engine. Both engines perform
+// the per-listener floating-point operations in the same order (signals
+// summed in ascending transmitter index, first strict maximum wins), and a
+// filled entry is the very expression the on-the-fly engine evaluates, so
+// every reception decision — and every experiment table derived from one —
+// is bit-identical in every mode.
 
 // DefaultGainCacheCap is the default memory cap for one channel's gain
 // matrix: 64 MiB, enough to cache deployments up to n = 2896. Larger
@@ -50,7 +55,7 @@ const MaxDeliverParallelism = 256
 
 // engineConfig is the resolved delivery-engine configuration of a channel.
 type engineConfig struct {
-	cache       bool    // precompute the gain matrix at New time
+	cache       bool    // cache gain rows on first transmission
 	cap         int64   // largest matrix to cache, in bytes
 	farFieldEps float64 // > 0: ε far-field pruning mode
 	parallel    int     // ≥ 2: intra-round parallel Deliver workers
@@ -79,8 +84,8 @@ func (ec engineConfig) workers() int {
 // delivery results, only how (and how fast) they are computed.
 type Option func(*engineConfig)
 
-// WithGainCache enables (the default) or disables the precomputed pairwise
-// gain matrix. Disabled channels compute every attenuation on the fly.
+// WithGainCache enables (the default) or disables the cached pairwise gain
+// matrix. Disabled channels compute every attenuation on the fly.
 func WithGainCache(enabled bool) Option {
 	return func(ec *engineConfig) { ec.cache = enabled }
 }
@@ -174,21 +179,52 @@ func resolveEngine(opts []Option) (engineConfig, error) {
 	return ec, nil
 }
 
-// gainCache is the precomputed attenuation matrix of a deployment:
-// g[u*n+v] = d(u,v)^{-α}. The diagonal is +Inf (zero distance); it is only
-// ever read for transmitting listeners, whose receptions are masked.
+// gainCache is the attenuation matrix of a deployment, g[u*n+v] =
+// d(u,v)^{-α}, filled one transmitter row at a time. The diagonal is +Inf
+// (zero distance); it is only ever read for transmitting listeners, whose
+// receptions are masked.
 type gainCache struct {
-	n int
-	g []float64
+	n      int
+	alpha  float64
+	pts    []geom.Point
+	g      []float64
+	filled []bool // filled[u]: row u holds its gains
 }
 
-// row returns the gains from transmitter u to every listener.
+// fill computes the rows of every transmitter in txList that has not
+// transmitted before. It runs sequentially before any tile kernel reads a
+// row, so parallel delivery only ever reads the matrix.
+//
+//crlint:hotpath
+func (gc *gainCache) fill(txList []int) {
+	for _, u := range txList {
+		if gc.filled[u] {
+			continue
+		}
+		row, pu := gc.row(u), gc.pts[u]
+		for v, pv := range gc.pts {
+			row[v] = attenuation(pu.Dist2(pv), gc.alpha)
+		}
+		gc.filled[u] = true
+	}
+}
+
+// row returns the gains from transmitter u to every listener; callers fill
+// the row first.
 func (gc *gainCache) row(u int) []float64 {
 	return gc.g[u*gc.n : (u+1)*gc.n]
 }
 
-// at returns the gain from transmitter u to listener v.
-func (gc *gainCache) at(u, v int) float64 { return gc.g[u*gc.n+v] }
+// at returns the gain from transmitter u to listener v: the cached entry
+// when row u is filled, otherwise the same expression computed on the spot.
+//
+//crlint:hotpath
+func (gc *gainCache) at(u, v int) float64 {
+	if gc.filled[u] {
+		return gc.g[u*gc.n+v]
+	}
+	return attenuation(gc.pts[u].Dist2(gc.pts[v]), gc.alpha)
+}
 
 // bytes returns the matrix footprint.
 func (gc *gainCache) bytes() int64 { return int64(gc.n) * int64(gc.n) * 8 }
@@ -216,10 +252,9 @@ func warnGainCacheOverCap(n int, need, cap int64) {
 		n, FormatBytes(need), FormatBytes(cap))
 }
 
-// newGainCache precomputes the matrix, or returns nil when the engine
-// configuration disables caching or the matrix would exceed the cap. The
-// matrix is symmetric, so only the upper triangle is computed and mirrored
-// (Dist2 and attenuation are bitwise symmetric in their arguments).
+// newGainCache reserves the matrix, or returns nil when the engine
+// configuration disables caching or the matrix would exceed the cap. No row
+// is filled until its transmitter first transmits (see fill).
 func newGainCache(pts []geom.Point, alpha float64, ec engineConfig) *gainCache {
 	n := len(pts)
 	if !ec.cache {
@@ -231,17 +266,7 @@ func newGainCache(pts []geom.Point, alpha float64, ec engineConfig) *gainCache {
 		warnGainCacheOverCap(n, need, ec.cap)
 		return nil
 	}
-	g := make([]float64, n*n)
-	for u := 0; u < n; u++ {
-		row := g[u*n : (u+1)*n]
-		row[u] = attenuation(0, alpha) // +Inf; masked for transmitters
-		for v := u + 1; v < n; v++ {
-			a := attenuation(pts[u].Dist2(pts[v]), alpha)
-			row[v] = a
-			g[v*n+u] = a
-		}
-	}
-	gc := &gainCache{n: n, g: g}
+	gc := &gainCache{n: n, alpha: alpha, pts: pts, g: make([]float64, n*n), filled: make([]bool, n)}
 	mGainCacheBuilt.Inc()
 	mGainCacheMaxBytes.SetMax(gc.bytes())
 	return gc
@@ -290,7 +315,7 @@ func (s *deliverScratch) indices(tx []bool) []int {
 
 // GainCacheStats is a snapshot of the process-wide gain-cache counters.
 type GainCacheStats struct {
-	// Cached counts channels built with a precomputed gain matrix.
+	// Cached counts channels built with a gain matrix.
 	Cached int64
 	// Fallback counts channels that computed attenuations on the fly
 	// (cache disabled or matrix over the memory cap).

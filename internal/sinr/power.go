@@ -80,7 +80,7 @@ func NewWithPowers(params Params, pts []geom.Point, powers []float64, opts ...Op
 // N returns the number of nodes on the channel.
 func (c *PowerChannel) N() int { return len(c.pts) }
 
-// GainCacheBytes returns the footprint of the channel's precomputed gain
+// GainCacheBytes returns the footprint of the channel's cached gain
 // matrix, or 0 when the channel computes attenuations on the fly.
 func (c *PowerChannel) GainCacheBytes() int64 {
 	if c.gains == nil {
@@ -131,8 +131,11 @@ func (c *PowerChannel) Deliver(tx []bool, recv []int) {
 		}
 		return
 	}
-	if c.ff != nil {
+	switch {
+	case c.ff != nil:
 		c.ff.prepareRound(txList)
+	case c.gains != nil:
+		c.gains.fill(txList)
 	}
 	n := len(c.pts)
 	if c.par > 1 {

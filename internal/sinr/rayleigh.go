@@ -91,7 +91,7 @@ func (c *RayleighChannel) N() int { return len(c.pts) }
 // Params returns the channel's physical-layer parameters.
 func (c *RayleighChannel) Params() Params { return c.params }
 
-// GainCacheBytes returns the footprint of the channel's precomputed gain
+// GainCacheBytes returns the footprint of the channel's cached gain
 // matrix, or 0 when the channel computes attenuations on the fly.
 func (c *RayleighChannel) GainCacheBytes() int64 {
 	if c.gains == nil {
@@ -136,6 +136,9 @@ func (c *RayleighChannel) Deliver(tx []bool, recv []int) {
 	roundSeed := xrand.Split(c.seed, c.round)
 	c.round++
 	txList := c.scratch.indices(tx)
+	if c.ff == nil && c.gains != nil {
+		c.gains.fill(txList)
+	}
 	if c.sub {
 		//crlint:allow hotalloc deliverSubstream's worker closures are the documented O(workers) per-round cost of the opt-in parallel engine
 		c.deliverSubstream(roundSeed, txList, tx, recv)

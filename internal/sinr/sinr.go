@@ -146,8 +146,8 @@ type Channel struct {
 
 // New builds a channel for the given parameters and node positions. It
 // returns an error if the parameters are invalid or fewer than one node is
-// given. By default the channel precomputes the pairwise gain matrix (see
-// the gain-cache notes in this package) up to DefaultGainCacheCap; options
+// given. By default the channel caches the pairwise gain matrix (see the
+// gain-cache notes in this package) up to DefaultGainCacheCap; options
 // adjust that policy without ever changing delivery results. The
 // WithFarFieldEps option selects the approximate ε far-field engine (see
 // farfield.go), the only option that can change receptions — within its
@@ -187,7 +187,7 @@ func (c *Channel) N() int { return len(c.pts) }
 // Params returns the channel's physical-layer parameters.
 func (c *Channel) Params() Params { return c.params }
 
-// GainCacheBytes returns the footprint of the channel's precomputed gain
+// GainCacheBytes returns the footprint of the channel's cached gain
 // matrix, or 0 when the channel computes attenuations on the fly.
 func (c *Channel) GainCacheBytes() int64 {
 	if c.gains == nil {
@@ -242,8 +242,11 @@ func (c *Channel) Deliver(tx []bool, recv []int) {
 		}
 		return
 	}
-	if c.ff != nil {
+	switch {
+	case c.ff != nil:
 		c.ff.prepareRound(txList)
+	case c.gains != nil:
+		c.gains.fill(txList)
 	}
 	n := len(c.pts)
 	if c.par > 1 {
